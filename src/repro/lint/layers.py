@@ -56,7 +56,8 @@ _EVERYTHING = frozenset({
 #: Key contracts: core/behavior/catalog may not import serving/refresh/obs
 #: (determinism flows upward, instrumentation is injected); serving may
 #: not import refresh (snapshots are pushed into serving, never pulled);
-#: only the CLI may import everything.
+#: the scenario drives compose serving, refresh and obs around the
+#: pipeline; only the CLI may import everything.
 ARCHITECTURE = Architecture(
     root="repro",
     allowed={
@@ -77,7 +78,9 @@ ARCHITECTURE = Architecture(
                            "embeddings", "llm"}),
         "reporting": frozenset({"utils"}),
         "lint": frozenset({"utils"}),
-        "cli": _EVERYTHING,
+        "scenarios": frozenset({"utils", "behavior", "core", "obs", "serving",
+                                "refresh", "reporting"}),
+        "cli": _EVERYTHING | {"scenarios"},
     },
     # The shared vocabulary: relation taxonomy and prompt templates are
     # leaf data modules imported by catalog/behavior/llm below core.

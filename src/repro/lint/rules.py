@@ -490,7 +490,7 @@ class TraceIdContractRule(LintRule):
 @register
 class BatchEntrypointOnlyRule(LintRule):
     """Serving hot paths must call generators through ``generate_batch``,
-    never the per-item ``generate``/``generate_knowledge`` surfaces.
+    never the per-item ``generate`` surface.
 
     The batch-first serving redesign (DESIGN.md §13) makes one vectorized
     ``generate_batch`` call per flush/window the *only* way serving code
@@ -498,23 +498,21 @@ class BatchEntrypointOnlyRule(LintRule):
     charges cost model that capped a replica near 500 req/s, and they
     bypass the :class:`~repro.llm.interface.GenerationBatch` accounting
     (attempts, retries, breaker refusals) the resilience layer reports.
-    ``generate_knowledge`` survives only as a deprecated shim for
-    out-of-tree callers — in-tree serving code must not call it.  A file
-    that must keep a compatibility call site goes on ``allowlist``.
+    A file that must keep a compatibility call site goes on
+    ``allowlist``.
     """
 
     id = "batch-entrypoint-only"
     summary = ("serving code calls generators via generate_batch, never "
-               "per-item generate/generate_knowledge")
+               "per-item generate")
     invariant = ("one amortized generator charge per flush/window "
                  "(the batch-first serving cost model)")
 
     #: ``/``-separated path suffixes where per-item generator calls are
-    #: tolerated (none today; shims *define* generate_knowledge but must
-    #: delegate to generate_batch, which this rule permits).
+    #: tolerated (none today).
     allowlist: ClassVar[tuple[str, ...]] = ()
 
-    _BANNED_METHODS = ("generate", "generate_knowledge")
+    _BANNED_METHODS = ("generate",)
 
     @classmethod
     def applies_to(cls, context: FileContext) -> bool:

@@ -29,9 +29,7 @@ from repro.serving.resilience import (
     BatchOutcome,
     BreakerState,
     CircuitBreaker,
-    CircuitOpenError,
     ResilientGenerator,
-    RetriesExhausted,
     RetryPolicy,
 )
 
@@ -62,8 +60,6 @@ __all__ = [
     "RetryPolicy",
     "BreakerState",
     "CircuitBreaker",
-    "CircuitOpenError",
-    "RetriesExhausted",
     "BatchOutcome",
     "ResilientGenerator",
 ]

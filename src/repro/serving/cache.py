@@ -30,8 +30,9 @@ _OUTCOMES = {
 class CacheStats:
     """Hit/miss accounting for one cache store, registry-backed.
 
-    Attribute reads and ``+=`` writes keep the pre-observability API;
-    the same counts surface through the registry as
+    Writers ``inc`` the registry child in :attr:`counters`; attribute
+    reads (``stats.layer1_hits``) return its value as an int.  The same
+    counts surface through the registry as
     ``cache_requests_total{store=...,outcome=...}`` and
     ``cache_pending_evictions_total{store=...}``.
     """
@@ -44,18 +45,25 @@ class CacheStats:
             "cache_requests_total", "cache lookups by layer outcome",
             ("store", "outcome"),
         )
-        self._counters = {
+        self.counters = {
             attr: requests.labels(store=store, outcome=outcome)
             for attr, outcome in _OUTCOMES.items()
         }
-        self._counters["pending_evictions"] = self.registry.counter(
+        self.counters["pending_evictions"] = self.registry.counter(
             "cache_pending_evictions_total",
             "pending-queue entries evicted (capacity or age)", ("store",),
         ).labels(store=store)
-        self._counters["snapshot_invalidations"] = self.registry.counter(
+        self.counters["snapshot_invalidations"] = self.registry.counter(
             "cache_snapshot_invalidations_total",
             "entries invalidated by snapshot swaps (version-scoped)", ("store",),
         ).labels(store=store)
+
+    def __getattr__(self, name: str) -> int:
+        # Only reached for names that are not regular attributes.
+        try:
+            return int(self.__dict__["counters"][name].value)
+        except KeyError:
+            raise AttributeError(name) from None
 
     @property
     def requests(self) -> int:
@@ -66,23 +74,6 @@ class CacheStats:
         if self.requests == 0:
             return 0.0
         return (self.layer1_hits + self.layer2_hits) / self.requests
-
-
-def _stat_property(attr: str) -> property:
-    def fget(self: CacheStats) -> int:
-        return int(self._counters[attr].value)
-
-    def fset(self: CacheStats, value) -> None:
-        delta = value - self._counters[attr].value
-        if delta < 0:
-            raise ValueError(f"{attr} is a counter; it cannot decrease")
-        self._counters[attr].inc(delta)
-
-    return property(fget, fset)
-
-
-for _attr in (*_OUTCOMES, "pending_evictions", "snapshot_invalidations"):
-    setattr(CacheStats, _attr, _stat_property(_attr))
 
 
 class AsyncCacheStore:
@@ -164,17 +155,17 @@ class AsyncCacheStore:
         self.request_log[query] += 1
         self._roll_daily_layer()
         if query in self._yearly:
-            self.stats.layer1_hits += 1
+            self.stats.counters["layer1_hits"].inc()
             return self._yearly[query], "yearly"
         if query in self._daily:
-            self.stats.layer2_hits += 1
+            self.stats.counters["layer2_hits"].inc()
             return self._daily[query], "daily"
-        self.stats.misses += 1
+        self.stats.counters["misses"].inc()
         if enqueue and query not in self._pending:
             if len(self._pending) >= self._pending_capacity:
                 oldest = min(self._pending, key=self._pending.get)
                 del self._pending[oldest]
-                self.stats.pending_evictions += 1
+                self.stats.counters["pending_evictions"].inc()
             self._pending[query] = self._clock.day
         self._publish_sizes()
         return None
@@ -207,19 +198,19 @@ class AsyncCacheStore:
         for query in queries:
             self.request_log[query] += 1
             if query in self._yearly:
-                self.stats.layer1_hits += 1
+                self.stats.counters["layer1_hits"].inc()
                 hits.append((self._yearly[query], "yearly"))
                 continue
             if query in self._daily:
-                self.stats.layer2_hits += 1
+                self.stats.counters["layer2_hits"].inc()
                 hits.append((self._daily[query], "daily"))
                 continue
-            self.stats.misses += 1
+            self.stats.counters["misses"].inc()
             if enqueue and query not in self._pending:
                 if len(self._pending) >= self._pending_capacity:
                     oldest = min(self._pending, key=self._pending.get)
                     del self._pending[oldest]
-                    self.stats.pending_evictions += 1
+                    self.stats.counters["pending_evictions"].inc()
                 self._pending[query] = self._clock.day
             hits.append(None)
         self._publish_sizes()
@@ -243,7 +234,7 @@ class AsyncCacheStore:
         ]
         for query in stale:
             del self._pending[query]
-            self.stats.pending_evictions += 1
+            self.stats.counters["pending_evictions"].inc()
 
     def install_snapshot(self, version: str, entries: Mapping[str, str]) -> int:
         """Atomically swap the cache onto a knowledge snapshot.
@@ -269,7 +260,7 @@ class AsyncCacheStore:
             invalidated += len(stale)
         self._yearly = dict(entries)
         self._snapshot_version = version
-        self.stats.snapshot_invalidations += invalidated
+        self.stats.counters["snapshot_invalidations"].inc(invalidated)
         self._publish_sizes()
         return invalidated
 

@@ -28,7 +28,8 @@ from repro.serving.faults import FaultInjector, FaultPlan, FlakyGenerator
 from repro.serving.resilience import CircuitBreaker
 from repro.utils.rng import spawn_rng
 
-__all__ = ["ScriptedGenerator", "ChaosConfig", "ChaosReport", "run_chaos", "run_outage_demo"]
+__all__ = ["ScriptedGenerator", "ChaosConfig", "ChaosReport", "response_ok", "run_chaos",
+           "run_outage_demo"]
 
 
 class ScriptedGenerator:
@@ -56,13 +57,10 @@ class ScriptedGenerator:
             )
         return GenerationBatch(generations=outputs)
 
-    def generate_knowledge(self, prompts: list[str]) -> list[Generation]:
-        """Deprecated shim over :meth:`generate_batch`."""
-        return self.generate_batch(prompts).require()
 
-
-def _response_ok(text: str) -> bool:
-    """Strict output validation for scripted generations."""
+def response_ok(text: str) -> bool:
+    """Strict output validation for scripted generations: non-empty and
+    ending in a period, which every garbage fault breaks."""
     return bool(text.strip()) and text.rstrip().endswith(".")
 
 
@@ -147,7 +145,7 @@ def run_chaos(config: ChaosConfig) -> ChaosReport:
         flaky,
         clock=clock,
         resilience=config.resilience,
-        response_validator=_response_ok,
+        response_validator=response_ok,
         seed=config.seed,
     )
 
@@ -220,7 +218,7 @@ def run_outage_demo(seed: int = 7, chunk: int = 120, chunk_gap_s: float = 300.0)
     )
     service = CosmoService(
         flaky, clock=clock, breaker=breaker,
-        response_validator=_response_ok, seed=seed,
+        response_validator=response_ok, seed=seed,
     )
     rng = spawn_rng(seed, "outage-traffic")
     queries = [f"query {i:02d}" for i in range(40)]

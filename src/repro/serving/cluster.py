@@ -493,6 +493,13 @@ class CosmoCluster:
                                 allow_enqueue=not shed,
                             )
                         held.value = service.clock.now()
+                if self.sampler is not None:
+                    self.sampler.finish(
+                        context.trace_id, ts=held.value,
+                        duration_s=held.value - arrival,
+                        flagged=any(result.outcome is not ServeOutcome.FRESH
+                                    for result in group_results),
+                    )
             else:
                 service.clock.sleep_until(start)
                 group_results = service.serve_batch(

@@ -114,10 +114,10 @@ class ServingMetrics:
     requests`` always holds (the chaos property tests rely on it).
 
     All counters are registry-backed (see :mod:`repro.obs.metrics`):
-    attribute reads and ``+=`` writes keep working, but the same values
-    are visible through the registry's exporters, and request latency is
-    a streaming fixed-bucket histogram — bounded memory no matter how
-    many requests the service absorbs.
+    writers ``inc`` the registry child in :attr:`counters`, attribute
+    reads (``metrics.retries``) return its value as an int, and request
+    latency is a streaming fixed-bucket histogram — bounded memory no
+    matter how many requests the service absorbs.
     """
 
     def __init__(self, registry: MetricsRegistry | None = None,
@@ -125,11 +125,11 @@ class ServingMetrics:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.service = service
         labels = {"service": service}
-        self._counters = {
+        self.counters = {
             attr: self.registry.counter(name, help, ("service",)).labels(**labels)
             for attr, (name, help) in _COUNTER_SPECS.items()
         }
-        self._counters["backoff_wait_s"] = self.registry.counter(
+        self.counters["backoff_wait_s"] = self.registry.counter(
             "serving_backoff_wait_seconds_total",
             "simulated seconds spent in retry backoff", ("service",),
         ).labels(**labels)
@@ -137,6 +137,24 @@ class ServingMetrics:
             "serving_request_latency_seconds",
             "end-to-end simulated request latency", ("service",),
         ).labels(**labels)
+
+    def __getattr__(self, name: str) -> int:
+        # Only reached for names that are not regular attributes.
+        try:
+            return int(self.__dict__["counters"][name].value)
+        except KeyError:
+            raise AttributeError(name) from None
+
+    @property
+    def backoff_wait_s(self) -> float:
+        return self.counters["backoff_wait_s"].value
+
+    def record_outcome(self, outcome) -> None:
+        """Count one resilient ``generate_batch`` call's retry work."""
+        self.counters["retries"].inc(outcome.retries)
+        self.counters["generator_failures"].inc(outcome.errors)
+        self.counters["rejected_generations"].inc(outcome.rejected)
+        self.counters["backoff_wait_s"].inc(outcome.wait_s)
 
     def observe_latency(self, seconds: float, trace_id: str | None = None) -> None:
         """Record one request latency; ``trace_id`` attaches an exemplar
@@ -170,27 +188,6 @@ class ServingMetrics:
     @property
     def p99(self) -> float:
         return self.percentile(99)
-
-
-def _counter_property(attr: str, as_int: bool) -> property:
-    """Expose a registry counter as a plain attribute supporting ``+=``."""
-
-    def fget(self: ServingMetrics):
-        value = self._counters[attr].value
-        return int(value) if as_int else value
-
-    def fset(self: ServingMetrics, value) -> None:
-        delta = value - self._counters[attr].value
-        if delta < 0:
-            raise ValueError(f"{attr} is a counter; it cannot decrease")
-        self._counters[attr].inc(delta)
-
-    return property(fget, fset)
-
-
-for _attr in _COUNTER_SPECS:
-    setattr(ServingMetrics, _attr, _counter_property(_attr, as_int=True))
-setattr(ServingMetrics, "backoff_wait_s", _counter_property("backoff_wait_s", as_int=False))
 
 
 @dataclass
@@ -433,7 +430,7 @@ class CosmoService:
         for request, hit in zip(requests, hits):
             if hit is not None:
                 text, layer = hit
-                self.metrics.served_fresh += 1
+                self.metrics.counters["served_fresh"].inc()
                 source = (SOURCE_CACHE_YEARLY if layer == "yearly"
                           else SOURCE_CACHE_DAILY)
                 result = ServeResult(query=request.query, text=text,
@@ -454,11 +451,11 @@ class CosmoService:
         if self._resilient is not None:
             stale, source = self._stale_response(query)
             if stale is not None:
-                self.metrics.degraded_serves += 1
+                self.metrics.counters["degraded_serves"].inc()
                 return ServeResult(query=query, text=stale,
                                    outcome=ServeOutcome.DEGRADED, source=source,
                                    latency_s=duration, replica=self.name)
-        self.metrics.fallbacks += 1
+        self.metrics.counters["fallbacks"].inc()
         return ServeResult(query=query, text=self._fallback,
                            outcome=ServeOutcome.FALLBACK, source=SOURCE_FALLBACK,
                            latency_s=duration, replica=self.name)
@@ -498,7 +495,7 @@ class CosmoService:
             text, layer = hit
             with self._maybe_span("serving.cache_serve", layer=layer):
                 self._charge_request(_CACHE_LATENCY_S)
-            self.metrics.served_fresh += 1
+            self.metrics.counters["served_fresh"].inc()
             source = SOURCE_CACHE_YEARLY if layer == "yearly" else SOURCE_CACHE_DAILY
             return ServeResult(query=query, text=text, outcome=ServeOutcome.FRESH,
                                source=source, latency_s=_CACHE_LATENCY_S,
@@ -508,13 +505,13 @@ class CosmoService:
             if stale is not None:
                 with self._maybe_span("serving.degraded_serve", source=source):
                     self._charge_request(_DEGRADED_LATENCY_S)
-                self.metrics.degraded_serves += 1
+                self.metrics.counters["degraded_serves"].inc()
                 return ServeResult(query=query, text=stale,
                                    outcome=ServeOutcome.DEGRADED, source=source,
                                    latency_s=_DEGRADED_LATENCY_S, replica=self.name)
         with self._maybe_span("serving.fallback_serve"):
             self._charge_request(_CACHE_LATENCY_S)
-        self.metrics.fallbacks += 1
+        self.metrics.counters["fallbacks"].inc()
         return ServeResult(query=query, text=self._fallback,
                            outcome=ServeOutcome.FALLBACK, source=SOURCE_FALLBACK,
                            latency_s=_CACHE_LATENCY_S, replica=self.name)
@@ -564,7 +561,7 @@ class CosmoService:
             latency = self.generator.latency.total_simulated_s - latency_before
             self._observe_latency(latency)
             self.clock.advance(latency)
-        self.metrics.served_fresh += 1
+        self.metrics.counters["served_fresh"].inc()
         self._last_good[query] = generation.text
         # Write through so later cached requests hit immediately.
         self.features.put(query, generation.text)
@@ -576,7 +573,7 @@ class CosmoService:
     def _degrade_direct(self, query: str, clock_before: float,
                         latency_before: float) -> ServeResult:
         """Degradation chain for a failed direct call."""
-        self.metrics.generator_failures += 1
+        self.metrics.counters["generator_failures"].inc()
         if self._resilient is None:
             self.clock.advance(self.generator.latency.total_simulated_s - latency_before)
         stale, source = self._stale_response(query)
@@ -585,7 +582,7 @@ class CosmoService:
                 self.clock.advance(_DEGRADED_LATENCY_S)
             latency = self.clock.now() - clock_before
             self._observe_latency(latency)
-            self.metrics.degraded_serves += 1
+            self.metrics.counters["degraded_serves"].inc()
             return ServeResult(query=query, text=stale,
                                outcome=ServeOutcome.DEGRADED, source=source,
                                latency_s=latency, replica=self.name)
@@ -593,7 +590,7 @@ class CosmoService:
             self.clock.advance(_CACHE_LATENCY_S)
         latency = self.clock.now() - clock_before
         self._observe_latency(latency)
-        self.metrics.fallbacks += 1
+        self.metrics.counters["fallbacks"].inc()
         return ServeResult(query=query, text=self._fallback,
                            outcome=ServeOutcome.FALLBACK, source=SOURCE_FALLBACK,
                            latency_s=latency, replica=self.name)
@@ -620,17 +617,14 @@ class CosmoService:
         return installed
 
     def _run_batch(self, pending: list[str]) -> int:
-        self.metrics.batch_runs += 1
+        self.metrics.counters["batch_runs"].inc()
         prompts = [self._prompt_builder(query) for query in pending]
         responses: dict[str, str] = {}
         if self._resilient is not None:
             outcome = self._resilient.generate_batch(prompts)
-            self.metrics.retries += outcome.retries
-            self.metrics.generator_failures += outcome.errors
-            self.metrics.rejected_generations += outcome.rejected
-            self.metrics.backoff_wait_s += outcome.wait_s
+            self.metrics.record_outcome(outcome)
             if outcome.breaker_refused:
-                self.metrics.breaker_refusals += 1
+                self.metrics.counters["breaker_refusals"].inc()
             for query, generation in zip(pending, outcome.generations):
                 if generation is None:
                     continue
@@ -650,21 +644,21 @@ class CosmoService:
             try:
                 generations = self.generator.generate_batch(prompts).generations
             except GeneratorFault:
-                self.metrics.generator_failures += 1
+                self.metrics.counters["generator_failures"].inc()
                 return 0
             responses = {q: g.text for q, g in zip(pending, generations)}
         for query, text in responses.items():
             self.features.put(query, text)
             self._last_good[query] = text
         installed = self.cache.apply_batch(responses)
-        self.metrics.batch_queries_processed += len(responses)
+        self.metrics.counters["batch_queries_processed"].inc(len(responses))
         return installed
 
     def _dead_letter(self, query: str, attempts: int, reason: str) -> None:
         self.dead_letters.append(
             DeadLetter(query=query, day=self.clock.day, attempts=attempts, reason=reason)
         )
-        self.metrics.dead_lettered += 1
+        self.metrics.counters["dead_lettered"].inc()
 
     def redrive_dead_letters(self) -> int:
         """Retry the dead-letter queue immediately.
@@ -685,16 +679,13 @@ class CosmoService:
         prompts = [self._prompt_builder(letter.query) for letter in letters]
         if self._resilient is not None:
             outcome = self._resilient.generate_batch(prompts)
-            self.metrics.retries += outcome.retries
-            self.metrics.generator_failures += outcome.errors
-            self.metrics.rejected_generations += outcome.rejected
-            self.metrics.backoff_wait_s += outcome.wait_s
+            self.metrics.record_outcome(outcome)
             generations = outcome.generations
         else:
             try:
                 generations = self.generator.generate_batch(prompts).generations
             except GeneratorFault:
-                self.metrics.generator_failures += 1
+                self.metrics.counters["generator_failures"].inc()
                 self.dead_letters = letters
                 return 0
         redriven = 0
@@ -711,7 +702,7 @@ class CosmoService:
             self._last_good[letter.query] = generation.text
             redriven += 1
         self.cache.apply_batch(responses)
-        self.metrics.redriven += redriven
+        self.metrics.counters["redriven"].inc(redriven)
         if self.event_log is not None:
             self.event_log.emit(
                 "service.redrive", ts=self.clock.now(), component=self.name,
@@ -776,16 +767,13 @@ class CosmoService:
                 prompts = [self._prompt_builder(key) for key in stale]
                 if self._resilient is not None:
                     outcome = self._resilient.generate_batch(prompts)
-                    self.metrics.retries += outcome.retries
-                    self.metrics.generator_failures += outcome.errors
-                    self.metrics.rejected_generations += outcome.rejected
-                    self.metrics.backoff_wait_s += outcome.wait_s
+                    self.metrics.record_outcome(outcome)
                     generations = outcome.generations
                 else:
                     try:
                         generations = self.generator.generate_batch(prompts).generations
                     except GeneratorFault:
-                        self.metrics.generator_failures += 1
+                        self.metrics.counters["generator_failures"].inc()
                         generations = [None] * len(stale)
                 for key, generation in zip(stale, generations):
                     if generation is None:

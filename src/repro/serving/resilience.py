@@ -24,7 +24,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 
-from repro.llm.interface import Generation, GenerationBatch
+from repro.llm.interface import GenerationBatch
 from repro.serving.clock import SimClock
 from repro.serving.faults import GeneratorFault
 from repro.utils.rng import spawn_rng
@@ -33,19 +33,9 @@ __all__ = [
     "RetryPolicy",
     "BreakerState",
     "CircuitBreaker",
-    "CircuitOpenError",
-    "RetriesExhausted",
     "BatchOutcome",
     "ResilientGenerator",
 ]
-
-
-class CircuitOpenError(RuntimeError):
-    """A call was refused because the circuit breaker is open."""
-
-
-class RetriesExhausted(RuntimeError):
-    """A call failed after consuming the full retry budget."""
 
 
 @dataclass(frozen=True)
@@ -289,9 +279,8 @@ class ResilientGenerator:
     protocol: :meth:`generate_batch` returns a
     :class:`~repro.llm.interface.GenerationBatch` with per-prompt
     results so callers (the batch processor, the dead-letter redrive)
-    can handle partial failure, while the deprecated
-    ``generate_knowledge`` shim raises on failure.  Unknown attributes
-    pass through to the wrapped generator.
+    can handle partial failure.  Unknown attributes pass through to the
+    wrapped generator.
     """
 
     def __init__(
@@ -385,15 +374,3 @@ class ResilientGenerator:
                     still_failed.append(index)
             remaining = still_failed
         return outcome
-
-    def generate_knowledge(self, prompts: list[str]) -> list[Generation]:
-        """Deprecated all-or-nothing shim over :meth:`generate_batch`."""
-        outcome = self.generate_batch(prompts)
-        if outcome.ok:
-            return outcome.generations
-        if outcome.breaker_refused and outcome.attempts == 0:
-            raise CircuitOpenError("circuit breaker is open; call refused")
-        raise RetriesExhausted(
-            f"{len(outcome.failed_indices)}/{len(prompts)} prompts failed "
-            f"after {outcome.attempts} attempts"
-        )

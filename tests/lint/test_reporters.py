@@ -82,7 +82,7 @@ def fixture_package(tmp_path):
         __all__ = ["fetch"]
 
         def fetch(generator, prompt):
-            return generator.generate_knowledge([prompt])
+            return generator.generate(prompt)
         """)
     module(serving / "printer.py", """
         __all__ = ["announce"]
@@ -174,7 +174,7 @@ def test_json_reporter_exact_payload(fixture_package):
             "line": 4,
             "col": 12,
             "message": (
-                "per-item .generate_knowledge() call in a serving module; "
+                "per-item .generate() call in a serving module; "
                 "route generator work through generate_batch() so the "
                 "flush/window is charged one amortized batch, not per-item "
                 "latency"

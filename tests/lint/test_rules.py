@@ -515,12 +515,12 @@ def test_batch_entrypoint_flags_per_item_generate_in_serving():
     assert "generate_batch" in diags[0].message
 
 
-def test_batch_entrypoint_flags_deprecated_generate_knowledge_calls():
+def test_batch_entrypoint_flags_every_per_item_call_site():
     diags = run_rule(
         BatchEntrypointOnlyRule,
         """
-        texts = self.generator.generate_knowledge(prompts)
-        more = resilient.generate_knowledge([prompt])
+        texts = self.generator.generate(prompts[0])
+        more = resilient.generate(prompt)
         """,
         path="src/repro/serving/cluster.py",
     )
@@ -533,8 +533,8 @@ def test_batch_entrypoint_allows_generate_batch_and_shim_definitions():
         BatchEntrypointOnlyRule,
         """
         class Shim:
-            def generate_knowledge(self, prompts):
-                return self.generate_batch(prompts).require()
+            def generate(self, prompt):
+                return self.generate_batch([prompt]).require()
 
         batch = self.generator.generate_batch(prompts)
         """,

@@ -14,15 +14,12 @@ from repro.refresh import (
     rollout_slo_specs,
 )
 from repro.serving import ClusterConfig, CosmoCluster
+from repro.serving.chaos import response_ok
 from repro.utils.rng import spawn_rng
 
 SCRAPE_S = 0.5
 ARRIVAL_S = 0.005
 QUERIES = [f"query {i:03d}" for i in range(40)]
-
-
-def _scripted_ok(text):
-    return bool(text.strip()) and text.rstrip().endswith(".")
 
 
 def _snapshots(poisoned=False):
@@ -45,7 +42,7 @@ def _rig(n_replicas=2, poisoned=False, name="rolltest"):
         config=ClusterConfig(n_replicas=n_replicas, max_batch_size=8,
                              max_batch_delay_s=0.25, seed=3, name=name),
         registry=registry, event_log=event_log,
-        response_validator=_scripted_ok,
+        response_validator=response_ok,
     )
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S),
@@ -185,12 +182,12 @@ def test_unknown_guarded_objective_is_rejected():
 def test_snapshot_generator_answers_from_snapshot_or_fails_loudly():
     blue, green = _snapshots()
     generator = SnapshotGenerator(blue)
-    known, unknown = generator.generate_knowledge([QUERIES[0], "never seen"])
+    known, unknown = generator.generate_batch([QUERIES[0], "never seen"]).require()
     assert known.text == blue.entries[QUERIES[0]]
     assert unknown.text == ""  # validator rejects → loud failure
     assert known.latency_s > 0.0
     generator.set_snapshot(green)
-    assert generator.generate_knowledge([QUERIES[0]])[0].text \
+    assert generator.generate_batch([QUERIES[0]]).require()[0].text \
         == green.entries[QUERIES[0]]
 
 

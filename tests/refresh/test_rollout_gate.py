@@ -17,6 +17,7 @@ from repro.refresh import (
     rollout_slo_specs,
 )
 from repro.serving import ClusterConfig, CosmoCluster
+from repro.serving.chaos import response_ok
 from repro.utils.rng import spawn_rng
 
 SCRAPE_S = 0.5
@@ -24,10 +25,6 @@ ARRIVAL_S = 0.005
 QUERIES = [f"query {i:03d}" for i in range(40)]
 _MIX = (Relation.USED_FOR_FUNC, Relation.CAPABLE_OF, Relation.USED_TO,
         Relation.USED_FOR_AUD)
-
-
-def _scripted_ok(text):
-    return bool(text.strip()) and text.rstrip().endswith(".")
 
 
 def _triples(count, offset=0, relations=_MIX, plausibility=0.8):
@@ -70,7 +67,7 @@ def _rig(poisoned=False, gate=None, name="gatetest"):
         config=ClusterConfig(n_replicas=2, max_batch_size=8,
                              max_batch_delay_s=0.25, seed=3, name=name),
         registry=registry, event_log=event_log,
-        response_validator=_scripted_ok,
+        response_validator=response_ok,
     )
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S),
@@ -197,7 +194,7 @@ def test_gateless_controller_still_works():
         config=ClusterConfig(n_replicas=2, max_batch_size=8,
                              max_batch_delay_s=0.25, seed=3, name="nogate"),
         registry=registry,
-        response_validator=_scripted_ok,
+        response_validator=response_ok,
     )
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S))

@@ -21,15 +21,11 @@ from repro.refresh import (
     rollout_slo_specs,
 )
 from repro.serving import ClusterConfig, CosmoCluster, FaultInjector, FaultPlan
-from repro.serving.chaos import FlakyGenerator
+from repro.serving.chaos import FlakyGenerator, response_ok
 from repro.utils.rng import spawn_rng
 
 SCRAPE_S = 0.5
 QUERIES = [f"query {i:03d}" for i in range(24)]
-
-
-def _scripted_ok(text):
-    return bool(text.strip()) and text.rstrip().endswith(".")
 
 
 @st.composite
@@ -76,7 +72,7 @@ def test_accounting_and_dead_letter_conservation_under_chaos(
                              max_batch_delay_s=0.25, seed=seed % 101,
                              name="chaosroll"),
         registry=registry, event_log=EventLog(registry=registry),
-        response_validator=_scripted_ok,
+        response_validator=response_ok,
     )
     cluster.install_snapshot(blue)
     evaluator = SloEvaluator(registry, rollout_slo_specs(SCRAPE_S))

@@ -129,10 +129,10 @@ def test_serving_generators_satisfy_knowledge_generator_protocol():
         assert hasattr(generator, "latency")
 
 
-def test_student_generate_knowledge_matches_generate_batch():
+def test_student_generate_batch_replays_and_require_returns_generations():
     tokenizer = Tokenizer().fit(["winter tent camping gear"])
     student = StudentLM(tokenizer, seed=0)
     prompts = ["winter tent"]
     batch = student.generate_batch(prompts)
-    knowledge = student.generate_knowledge(prompts)
+    knowledge = student.generate_batch(prompts).require()
     assert [g.text for g in knowledge] == [g.text for g in batch.generations]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import TailSampler
 from repro.serving import (
     AdaptiveBatchScheduler,
     ClusterConfig,
@@ -15,7 +16,7 @@ from repro.serving import (
     ServeOutcome,
     ServeRequest,
 )
-from repro.serving.chaos import ScriptedGenerator, _response_ok
+from repro.serving.chaos import ScriptedGenerator, response_ok
 
 
 def _cluster(n_replicas=3, fault_rate=0.0, seed=3, **config_kwargs) -> CosmoCluster:
@@ -32,7 +33,7 @@ def _cluster(n_replicas=3, fault_rate=0.0, seed=3, **config_kwargs) -> CosmoClus
     options = {"max_batch_size": 8, "max_batch_delay_s": 0.5, **config_kwargs}
     config = ClusterConfig(n_replicas=n_replicas, seed=seed, **options)
     cluster = CosmoCluster(factory, config=config,
-                           response_validator=_response_ok)
+                           response_validator=response_ok)
     cluster._test_injectors = injectors
     return cluster
 
@@ -251,6 +252,32 @@ def test_daily_refresh_barriers_all_clocks():
     horizons = {s.clock.now() for s in cluster.services.values()}
     assert horizons == {cluster.clock.now()}
     assert cluster.clock.day == 1
+
+
+# -- tail sampling on the batch path ---------------------------------------
+def test_handle_batch_finishes_every_trace_for_the_tail_sampler():
+    sampler = TailSampler(slowest_k=2, window_s=1.0, head_every=10)
+    cluster = CosmoCluster(lambda index: ScriptedGenerator(),
+                           config=ClusterConfig(n_replicas=2, seed=3),
+                           sampler=sampler, response_validator=response_ok)
+    cluster.preload_yearly({f"q{i}": f"answer {i}." for i in range(20)})
+    groups = 0
+    for window in range(50):
+        # Even windows hit the preloaded set, odd windows miss.
+        base = 20 * (window % 2)
+        results = cluster.handle_batch(
+            [f"q{base + (window * 8 + k) % 20}" for k in range(8)])
+        groups += len({result.replica for result in results})
+        cluster.clock.advance(0.05)
+    cluster.flush()
+    sampler.flush()
+    # One verdict per replica group; nothing stays buffered.
+    assert sampler.pending_traces == 0
+    assert sampler.buffered_spans == 0
+    assert sampler.overflow == 0
+    assert sum(sampler.decisions.values()) == groups
+    assert sampler.decisions["flagged"] > 0
+    assert sampler.decisions["flagged"] < groups
 
 
 # -- accounting invariant under chaos (property) ----------------------------

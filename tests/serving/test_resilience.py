@@ -6,12 +6,10 @@ from repro.llm.interface import Generation, GenerationBatch, LatencyModel
 from repro.serving import (
     BreakerState,
     CircuitBreaker,
-    CircuitOpenError,
     FaultInjector,
     FaultPlan,
     FlakyGenerator,
     ResilientGenerator,
-    RetriesExhausted,
     RetryPolicy,
     SimClock,
 )
@@ -170,8 +168,6 @@ def test_retries_exhausted_raises_and_deadline_is_respected():
     assert not outcome.ok
     # Deadline (4s) cuts the 10-attempt budget short: 2s backoff per retry.
     assert outcome.attempts < 10
-    with pytest.raises(RetriesExhausted):
-        resilient.generate_knowledge(["q"])
 
 
 def test_garbage_generations_are_retried_per_prompt():
@@ -209,8 +205,6 @@ def test_open_breaker_fails_fast():
     outcome = resilient.generate_batch(["q"])
     assert outcome.breaker_refused
     assert outcome.attempts == 0
-    with pytest.raises(CircuitOpenError):
-        resilient.generate_knowledge(["q"])
 
 
 def test_no_wall_clock_sleeps():
