@@ -2,9 +2,9 @@
 
 The quality gate runs on the rollout path, so it must be cheap relative
 to what it guards.  This bench builds a parent and a child snapshot the
-way a refresh round does — replay the triples into a columnar
-:class:`KnowledgeGraph`, freeze via ``build_snapshot`` (content
-checksum + columnar digest) — and then times the *entire* gate pass:
+way a refresh round does — grow a columnar :class:`KnowledgeGraph`,
+freeze it via ``build_snapshot`` (column copy, content checksum and
+columnar digest) — and then times the *entire* gate pass:
 two :func:`compute_kg_health` reports off the prebuilt columns, both
 edge-identity sets, and :func:`evaluate_drift` under the default rules.
 
@@ -68,8 +68,7 @@ def _build_arm(triples, entries, parent=None):
     """What a refresh round pays to freeze a snapshot."""
     graph = KnowledgeGraph()
     graph.extend(triples)
-    snapshot = build_snapshot(entries, graph.triples(), parent=parent,
-                              graph=graph)
+    snapshot = build_snapshot(entries, graph=graph, parent=parent)
     return snapshot, graph
 
 

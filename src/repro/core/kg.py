@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import networkx as nx
 import numpy as np
@@ -32,6 +33,16 @@ from repro.core.triples import KnowledgeTriple
 __all__ = ["KGStats", "HierarchyNode", "KnowledgeGraph"]
 
 _INITIAL_CAPACITY = 16
+#: ``columns()`` name, backing attribute and dtype of each edge column.
+_COLUMNS = (("head", "_head_col", np.int32), ("relation", "_rel_col", np.int32),
+            ("tail", "_tail_col", np.int32), ("domain", "_domain_col", np.int32),
+            ("behavior", "_behavior_col", np.int32),
+            ("plausibility", "_plaus_col", np.float64),
+            ("typicality", "_typ_col", np.float64),
+            ("support", "_support_col", np.int64))
+#: ``columns()`` name of each intern table and the id columns bounded by it.
+_TABLES = (("nodes", ("head", "tail")), ("relations", ("relation",)),
+           ("domains", ("domain",)), ("behaviors", ("behavior",)))
 
 
 @dataclass(frozen=True)
@@ -63,9 +74,9 @@ class _InternTable:
 
     __slots__ = ("_ids", "_values")
 
-    def __init__(self):
-        self._ids: dict[str, int] = {}
-        self._values: list[str] = []
+    def __init__(self, values=()):
+        self._values: list[str] = list(values)
+        self._ids: dict[str, int] = {value: i for i, value in enumerate(self._values)}
 
     def intern(self, value: str) -> int:
         interned = self._ids.get(value)
@@ -102,15 +113,8 @@ class KnowledgeGraph:
         self._relations = _InternTable()
         self._domains = _InternTable()
         self._behaviors = _InternTable()
-        capacity = _INITIAL_CAPACITY
-        self._head_col = np.empty(capacity, dtype=np.int32)
-        self._rel_col = np.empty(capacity, dtype=np.int32)
-        self._tail_col = np.empty(capacity, dtype=np.int32)
-        self._domain_col = np.empty(capacity, dtype=np.int32)
-        self._behavior_col = np.empty(capacity, dtype=np.int32)
-        self._plaus_col = np.empty(capacity, dtype=np.float64)
-        self._typ_col = np.empty(capacity, dtype=np.float64)
-        self._support_col = np.empty(capacity, dtype=np.int64)
+        for _, attr, dtype in _COLUMNS:
+            setattr(self, attr, np.empty(_INITIAL_CAPACITY, dtype=dtype))
         self._size = 0
         #: (head id, relation id, tail id) → row, for duplicate merging.
         self._row_of: dict[tuple[int, int, int], int] = {}
@@ -122,6 +126,54 @@ class KnowledgeGraph:
         self._csr_order: np.ndarray | None = None
         self._csr_offsets: np.ndarray | None = None
         self._csr_dirty = True
+
+    @classmethod
+    def from_columns(cls, columns: Mapping) -> "KnowledgeGraph":
+        """The one way back from a :meth:`columns` mapping to a graph.
+
+        Copies the arrays and adopts the intern tables, with no per-edge
+        replay.  Inconsistent input — a column not one value per edge,
+        an id outside its table, a repeated table entry, an unknown
+        relation, a ``(head, relation, tail)`` row twice — raises a
+        ``ValueError`` naming the problem.
+        """
+        edges = len(columns["head"])
+        for name in [name for name, _, _ in _COLUMNS] + ["head_ids"]:
+            if len(columns[name]) != edges:
+                raise ValueError(f"column {name!r} has {len(columns[name])} "
+                                 f"values for {edges} edges")
+        for table, id_columns in _TABLES:
+            size = len(columns[table])
+            if len(set(columns[table])) != size:
+                raise ValueError(f"table {table!r} repeats an entry")
+            for name in id_columns:
+                ids = columns[name]
+                if edges and (int(np.min(ids)) < 0 or int(np.max(ids)) >= size):
+                    raise ValueError(f"column {name!r} has ids outside the "
+                                     f"{table!r} table (size {size})")
+        for value in columns["relations"]:
+            Relation(value)
+
+        kg = cls()
+        for name, attr, dtype in _COLUMNS:
+            setattr(kg, attr, np.array(columns[name], dtype=dtype))
+        kg._size = edges
+        kg._nodes, kg._relations, kg._domains, kg._behaviors = (
+            _InternTable(columns[table]) for table, _ in _TABLES)
+        kg._head_ids = [tuple(ids) for ids in columns["head_ids"]]
+        keys = zip(kg._head_col.tolist(), kg._rel_col.tolist(), kg._tail_col.tolist())
+        for row, (head, rel, tail) in enumerate(keys):
+            first = kg._row_of.setdefault((head, rel, tail), row)
+            if first != row:
+                raise ValueError(
+                    f"duplicate edge ({kg._nodes.value(head)!r}, "
+                    f"{kg._relations.value(rel)!r}, {kg._nodes.value(tail)!r}) "
+                    f"in rows {first} and {row}")
+        pairs = Counter(zip(kg._domain_col.tolist(), kg._behavior_col.tolist()))
+        kg._domain_behavior_edges = Counter({
+            (kg._domains.value(domain), kg._behaviors.value(behavior)): count
+            for (domain, behavior), count in pairs.items()})
+        return kg
 
     # ------------------------------------------------------------------
     def add(self, triple: KnowledgeTriple) -> None:
@@ -159,13 +211,10 @@ class KnowledgeGraph:
 
     def _grow(self) -> None:
         capacity = max(_INITIAL_CAPACITY, 2 * len(self._head_col))
-        for name in ("_head_col", "_rel_col", "_tail_col", "_domain_col",
-                     "_behavior_col", "_plaus_col", "_typ_col",
-                     "_support_col"):
-            old = getattr(self, name)
-            grown = np.empty(capacity, dtype=old.dtype)
-            grown[: self._size] = old[: self._size]
-            setattr(self, name, grown)
+        for _, attr, dtype in _COLUMNS:
+            grown = np.empty(capacity, dtype=dtype)
+            grown[: self._size] = getattr(self, attr)[: self._size]
+            setattr(self, attr, grown)
 
     def extend(self, triples: list[KnowledgeTriple]) -> None:
         for triple in triples:
@@ -267,27 +316,21 @@ class KnowledgeGraph:
     def columns(self) -> dict:
         """Read-only view of the columnar form.
 
-        Arrays are trimmed views over the live columns (callers must not
-        mutate them); the id tables come along as string tuples.  This
-        is the zero-copy surface :mod:`repro.core.kg_io` serializes and
-        :mod:`repro.refresh.snapshot` content-addresses.
+        Arrays are trimmed, non-writeable views over the live columns
+        (writing through one raises ``ValueError``); the id tables come
+        along as string tuples.  This is the zero-copy surface
+        :mod:`repro.core.kg_io` serializes, :mod:`repro.refresh.snapshot`
+        freezes and :meth:`from_columns` rebuilds a graph from.
         """
-        n = self._size
-        return {
-            "head": self._head_col[:n],
-            "relation": self._rel_col[:n],
-            "tail": self._tail_col[:n],
-            "domain": self._domain_col[:n],
-            "behavior": self._behavior_col[:n],
-            "plausibility": self._plaus_col[:n],
-            "typicality": self._typ_col[:n],
-            "support": self._support_col[:n],
-            "nodes": self._nodes.values(),
-            "relations": self._relations.values(),
-            "domains": self._domains.values(),
-            "behaviors": self._behaviors.values(),
-            "head_ids": tuple(self._head_ids),
-        }
+        cols = {name: getattr(self, attr)[: self._size] for name, attr, _ in _COLUMNS}
+        for view in cols.values():
+            view.flags.writeable = False
+        cols.update(nodes=self._nodes.values(),
+                    relations=self._relations.values(),
+                    domains=self._domains.values(),
+                    behaviors=self._behaviors.values(),
+                    head_ids=tuple(self._head_ids))
+        return cols
 
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.MultiDiGraph:

@@ -23,7 +23,7 @@ from repro.core.critic import CriticClassifier
 from repro.core.filtering import KnowledgeFilter
 from repro.core.generation import generate_candidates
 from repro.core.kg import KnowledgeGraph
-from repro.core.triples import BehaviorSample, KnowledgeCandidate, KnowledgeTriple
+from repro.core.triples import BehaviorSample, KnowledgeCandidate
 from repro.llm.teacher import TeacherLLM
 from repro.refresh.snapshot import KgSnapshot, build_snapshot
 
@@ -81,21 +81,6 @@ class RefreshReport:
         }
 
 
-def _to_triple(candidate: KnowledgeCandidate) -> KnowledgeTriple:
-    """Refined candidate → KG edge (the §3.1 shape, as in KG assembly)."""
-    return KnowledgeTriple(
-        head=candidate.sample.head_text,
-        relation=candidate.relation,
-        tail=candidate.tail,
-        domain=candidate.sample.domain,
-        behavior=candidate.sample.behavior,
-        plausibility=candidate.plausibility_score or 0.0,
-        typicality=candidate.typicality_score or 0.0,
-        support=1,
-        head_ids=candidate.sample.product_ids,
-    )
-
-
 class KnowledgeRefresher:
     """Drives refresh rounds against a trained filter + critic.
 
@@ -141,7 +126,7 @@ class KnowledgeRefresher:
         (oldest knowledge debt clears before new arrivals).  Returns the
         child snapshot and the round's accounting; the child's entries
         are the parent's overlaid with the round's survivors, its
-        triples the support-merged union.
+        graph the support-merged union.
         """
         cfg = self.config
         queue = self.deferred + list(samples)
@@ -177,13 +162,11 @@ class KnowledgeRefresher:
         entries = dict(parent.entries)
         entries.update({query: c.text for query, c in best.items()})
 
-        graph = KnowledgeGraph()
-        graph.extend(list(parent.triples))
-        graph.extend([_to_triple(c) for c in kept])
+        graph = KnowledgeGraph.from_columns(parent.columns())
+        graph.extend([c.to_triple() for c in kept])
 
-        child = build_snapshot(entries, graph.triples(), parent=parent,
-                               note=f"refresh round {self.rounds}",
-                               graph=graph)
+        child = build_snapshot(entries, graph, parent=parent,
+                               note=f"refresh round {self.rounds}")
         report = RefreshReport(
             round_index=self.rounds,
             parent_version=parent.version,
@@ -196,7 +179,8 @@ class KnowledgeRefresher:
             survivors=len(survivors),
             kept=len(kept),
             new_entries=len(best),
-            new_triples=len(child.triples) - len(parent.triples),
+            new_triples=(child.manifest.triple_count
+                         - parent.manifest.triple_count),
         )
         self.rounds += 1
         return child, report

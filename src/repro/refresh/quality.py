@@ -5,11 +5,12 @@ observation over plain column data; this module is the adapter that
 walks actual :class:`~repro.refresh.snapshot.KgSnapshot` objects and
 their :class:`~repro.refresh.snapshot.SnapshotStore` lineage:
 
-* :func:`snapshot_health` rebuilds the snapshot's triples into a
-  columnar :class:`~repro.core.kg.KnowledgeGraph` and computes its
-  :class:`~repro.obs.kg_health.KgHealthReport`;
-* :func:`edge_keys` extracts the content-identity edge set (the same
-  ``(head, relation, tail)`` identities the snapshot checksum sorts),
+* :func:`snapshot_health` computes a snapshot's
+  :class:`~repro.obs.kg_health.KgHealthReport` straight off its frozen
+  ``columns()``;
+* :func:`edge_keys` reads the content-identity edge set off the same
+  columns (the ``(head, relation, tail)`` identities the snapshot
+  checksum sorts),
   so added/removed-edge rates are exact, not inferred from counts;
 * :class:`SnapshotQualityGate` ties it together: given a candidate
   snapshot it assesses health, diffs against the registered parent,
@@ -28,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.core.kg import KnowledgeGraph
 from repro.obs.drift import (DriftReport, DriftRule, default_drift_rules,
                              evaluate_drift)
 from repro.obs.kg_health import (KgHealthReport, compute_kg_health,
@@ -45,17 +45,10 @@ __all__ = [
 
 def snapshot_health(snapshot: KgSnapshot, *,
                     funnel: dict[str, int] | None = None) -> KgHealthReport:
-    """Compute a snapshot's :class:`KgHealthReport`.
-
-    The snapshot's triples are replayed into a fresh columnar
-    :class:`KnowledgeGraph` (the same merge bookkeeping serving uses)
-    and health is one vectorized pass over its ``columns()``.
-    """
-    graph = KnowledgeGraph()
-    for triple in snapshot.triples:
-        graph.add(triple)
+    """Compute a snapshot's :class:`KgHealthReport`: one vectorized pass
+    over its ``columns()``."""
     return compute_kg_health(
-        graph.columns(),
+        snapshot.columns(),
         version=snapshot.version,
         parent=snapshot.parent,
         entries=len(snapshot),
@@ -70,7 +63,11 @@ def edge_keys(snapshot: KgSnapshot) -> set[tuple[str, str, str]]:
     re-merged edge is still the *same* knowledge, and counting it as
     removed+added would double-charge the drift rates.
     """
-    return {(t.head, t.relation.value, t.tail) for t in snapshot.triples}
+    cols = snapshot.columns()
+    nodes, relations = cols["nodes"], cols["relations"]
+    rows = zip(*(cols[name].tolist() for name in ("head", "relation", "tail")))
+    return {(nodes[head], relations[relation], nodes[tail])
+            for head, relation, tail in rows}
 
 
 @dataclass(frozen=True)

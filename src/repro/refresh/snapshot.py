@@ -1,10 +1,10 @@
 """Immutable, content-addressed knowledge-graph snapshots.
 
-A snapshot is the unit of knowledge deployment: the triples a refresh
-round produced, the query → knowledge serving table derived from them,
-and a :class:`SnapshotManifest` naming the content.  Version ids are
-content-addressed — ``v-<12 hex chars>`` of a BLAKE2b digest over the
-parent version, the sorted serving entries and the sorted triple
+A snapshot is the unit of knowledge deployment: the knowledge graph a
+refresh round produced, the query → knowledge serving table derived
+from it, and a :class:`SnapshotManifest` naming the content.  Version
+ids are content-addressed — ``v-<12 hex chars>`` of a BLAKE2b digest
+over the parent version, the sorted serving entries and the sorted edge
 identities — so two snapshots with the same content share a version and
 any content difference yields a new one.  That property is what the
 rollout layer leans on: "replica r1 is on ``v-3f2a...``" is a complete
@@ -14,8 +14,9 @@ Snapshots are constructed **only** through :func:`build_snapshot`; the
 :class:`KgSnapshot` constructor takes a private token and the
 ``snapshot-builder-only`` cosmolint rule bans direct construction
 outside :mod:`repro.refresh`.  Entries are exposed through a read-only
-mapping proxy and triples as a tuple, so a published version can never
-drift from its checksum.
+mapping proxy and the graph as a private, read-only copy of its
+``columns()`` arrays, so a published version can never drift from its
+checksum — not even when the source graph keeps growing.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ import hashlib
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from repro.core.triples import KnowledgeTriple
+import numpy as np
+
+from repro.core.kg import KnowledgeGraph
 
 __all__ = [
     "SnapshotManifest",
@@ -58,9 +61,9 @@ class SnapshotManifest:
     triple_count: int
     note: str = ""
     #: BLAKE2b digest of the backing graph's columnar arrays (see
-    #: :func:`columnar_digest`); "" when the snapshot was built without
-    #: one.  Like ``note`` it is **not** hashed into ``checksum`` —
-    #: versions are addressed by logical content (the triples), and an
+    #: :func:`columnar_digest`).  Like ``note`` it is **not** hashed
+    #: into ``checksum`` — versions are addressed by logical content
+    #: (the edge identities), and an
     #: alternate physical encoding of the same content must not
     #: re-version the snapshot.  The digest is an integrity witness for
     #: serialized column archives, not part of the identity.
@@ -82,15 +85,17 @@ class KgSnapshot:
     """One immutable knowledge deployment unit.
 
     ``entries`` maps serving queries to knowledge text (what the cache
-    warms from and the snapshot generator answers with); ``triples`` are
-    the KG edges backing those entries.  Both views are read-only.
+    warms from and the snapshot generator answers with); ``columns()``
+    is the KG backing those entries, in
+    :meth:`~repro.core.kg.KnowledgeGraph.columns` form.  Both views are
+    read-only.
     """
 
-    __slots__ = ("manifest", "_entries", "_triples")
+    __slots__ = ("manifest", "_entries", "_columns")
 
     def __init__(self, manifest: SnapshotManifest,
                  entries: Mapping[str, str],
-                 triples: tuple[KnowledgeTriple, ...],
+                 columns: Mapping,
                  token: object = None):
         if token is not _BUILDER_TOKEN:
             raise TypeError(
@@ -100,7 +105,7 @@ class KgSnapshot:
             )
         self.manifest = manifest
         self._entries = MappingProxyType(dict(entries))
-        self._triples = triples
+        self._columns = MappingProxyType(dict(columns))
 
     @property
     def version(self) -> str:
@@ -115,33 +120,35 @@ class KgSnapshot:
         """Read-only query → knowledge serving table."""
         return self._entries
 
-    @property
-    def triples(self) -> tuple[KnowledgeTriple, ...]:
-        return self._triples
+    def columns(self) -> Mapping:
+        """Read-only columnar form of the snapshot's knowledge graph."""
+        return self._columns
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __repr__(self) -> str:
         return (f"KgSnapshot({self.version}, parent={self.parent}, "
-                f"{len(self._entries)} entries, {len(self._triples)} triples)")
+                f"{len(self._entries)} entries, {self.manifest.triple_count} triples)")
 
 
 def _checksum(parent: str | None, entries: Mapping[str, str],
-              triples: Iterable[KnowledgeTriple]) -> str:
+              columns: Mapping) -> str:
     """Canonical BLAKE2b digest of a snapshot's content.
 
-    Triple identity is ``(head, relation, tail, support)`` — support
+    Edge identity is ``(head, relation, tail, support)`` — support
     merges from a refresh round change content, score jitter does not
     re-version an otherwise identical graph.
     """
+    nodes, relations = columns["nodes"], columns["relations"]
+    rows = zip(*(columns[name].tolist()
+                 for name in ("head", "relation", "tail", "support")))
     canonical = json.dumps(
         {
             "parent": parent,
             "entries": sorted(entries.items()),
-            "triples": sorted(
-                (t.head, t.relation.value, t.tail, t.support) for t in triples
-            ),
+            "triples": sorted((nodes[head], relations[relation], nodes[tail], support)
+                              for head, relation, tail, support in rows),
         },
         sort_keys=True,
         separators=(",", ":"),
@@ -149,7 +156,7 @@ def _checksum(parent: str | None, entries: Mapping[str, str],
     return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def columnar_digest(graph) -> str:
+def columnar_digest(graph: KnowledgeGraph) -> str:
     """BLAKE2b digest of a :class:`~repro.core.kg.KnowledgeGraph`'s
     columnar arrays — the content address of the *physical* columns.
 
@@ -158,8 +165,6 @@ def columnar_digest(graph) -> str:
     columnar archive would serialize yields a different digest.  Used to
     pin a snapshot manifest to the exact column bytes it shipped with.
     """
-    import numpy as np  # local: refresh must stay importable without a graph
-
     cols = graph.columns()
     digest = hashlib.blake2b(digest_size=16)
     for name in ("head", "relation", "tail", "domain", "behavior",
@@ -177,37 +182,38 @@ def columnar_digest(graph) -> str:
 
 def build_snapshot(
     entries: Mapping[str, str],
-    triples: Iterable[KnowledgeTriple] = (),
+    graph: KnowledgeGraph | None = None,
     parent: KgSnapshot | None = None,
     note: str = "",
-    graph=None,
 ) -> KgSnapshot:
     """The sole constructor of :class:`KgSnapshot`.
 
-    Copies ``entries`` and ``triples``, computes the content checksum
-    and derives the version id from it.  ``parent`` links lineage: the
-    rollout controller rolls back to ``snapshot.parent`` by version.
-    Passing the backing :class:`~repro.core.kg.KnowledgeGraph` as
-    ``graph`` stamps the manifest with its :func:`columnar_digest`
-    (and defaults ``triples`` to the graph's edges when none are given)
-    — the version itself is unaffected, see
-    :attr:`SnapshotManifest.columnar_digest`.
+    Copies ``entries`` and the columns of ``graph`` (an empty graph when
+    None), computes the content checksum and derives the version id
+    from it; the manifest is stamped with the columns'
+    :func:`columnar_digest`, which leaves the version unaffected (see
+    :attr:`SnapshotManifest.columnar_digest`).  ``parent`` links
+    lineage: the rollout controller rolls back to ``snapshot.parent``
+    by version.
     """
-    if graph is not None and not triples:
-        triples = graph.triples()
-    frozen_triples = tuple(triples)
+    graph = graph if graph is not None else KnowledgeGraph()
+    columns = graph.columns()
+    for name, value in columns.items():
+        if isinstance(value, np.ndarray):
+            columns[name] = value.copy()
+            columns[name].flags.writeable = False
     parent_version = parent.version if parent is not None else None
-    checksum = _checksum(parent_version, entries, frozen_triples)
+    checksum = _checksum(parent_version, entries, columns)
     manifest = SnapshotManifest(
         version=f"v-{checksum[:12]}",
         parent=parent_version,
         checksum=checksum,
         entry_count=len(entries),
-        triple_count=len(frozen_triples),
+        triple_count=len(columns["head"]),
         note=note,
-        columnar_digest="" if graph is None else columnar_digest(graph),
+        columnar_digest=columnar_digest(graph),
     )
-    return KgSnapshot(manifest, entries, frozen_triples, token=_BUILDER_TOKEN)
+    return KgSnapshot(manifest, entries, columns, token=_BUILDER_TOKEN)
 
 
 class SnapshotStore:

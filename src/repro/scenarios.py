@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import argparse
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.behavior import WorldConfig
 from repro.core import CosmoLMConfig, CosmoPipeline, PipelineConfig
+from repro.core.kg import KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 from repro.obs import (
@@ -604,8 +604,8 @@ class _GatedRollout:
 
 
 def _gated_rollout(args: argparse.Namespace, title: str, stream: str,
-                   green_note: str, blue_triples: Sequence[KnowledgeTriple] = (),
-                   green_triples: Sequence[KnowledgeTriple] = (),
+                   green_note: str, blue_graph: KnowledgeGraph | None = None,
+                   green_graph: KnowledgeGraph | None = None,
                    serve_green: bool = True) -> _GatedRollout:
     """Serve blue, roll green out under a quality gate, settle.
 
@@ -617,10 +617,10 @@ def _gated_rollout(args: argparse.Namespace, title: str, stream: str,
     """
     queries = [f"query {i:03d}" for i in range(args.n_queries)]
     blue = build_snapshot({q: f"it is used for {q} (blue)." for q in queries},
-                          blue_triples, note="blue baseline")
+                          blue_graph, note="blue baseline")
     green = build_snapshot(
         {q: f"it is used for {q} (green)." for q in queries} if serve_green else {},
-        green_triples, parent=blue, note=green_note)
+        green_graph, parent=blue, note=green_note)
     store = SnapshotStore()
     store.add(blue)
     drive = _cluster(args, lambda index: SnapshotGenerator(blue))
@@ -737,6 +737,12 @@ def _edges(n_queries: int, count: int, offset: int = 0,
     ]
 
 
+def _graph(triples: list[KnowledgeTriple]) -> KnowledgeGraph:
+    graph = KnowledgeGraph()
+    graph.extend(triples)
+    return graph
+
+
 def kghealth(args: argparse.Namespace) -> Outcome:
     """Knowledge-plane health drive: snapshot drift gating under traffic.
 
@@ -768,7 +774,7 @@ def kghealth(args: argparse.Namespace) -> Outcome:
                                plaus_base=0.03, plaus_span=0.0)
     note = "green refresh" if args.scenario == "healthy" else "poisoned refresh"
     run = _gated_rollout(args, "KG health drive", "kghealth-traffic", note,
-                         blue_triples, green_triples)
+                         _graph(blue_triples), _graph(green_triples))
 
     decision = run.gate.assess(run.green)   # cached from the controller's ticks
     health_doc = kg_health_report(

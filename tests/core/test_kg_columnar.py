@@ -10,7 +10,7 @@ instead of full scans.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.kg import KnowledgeGraph
@@ -214,12 +214,108 @@ def test_columnar_digest_is_deterministic_and_content_sensitive():
 
 def test_build_snapshot_stamps_digest_without_changing_version():
     graph = _graph()
+    reordered = KnowledgeGraph()
+    reordered.extend(list(reversed(graph.triples())))
     entries = {"q": "knowledge"}
-    with_graph = build_snapshot(entries, graph.triples(), graph=graph)
-    without = build_snapshot(entries, graph.triples())
+    snap = build_snapshot(entries, graph)
+    twin = build_snapshot(entries, reordered)
     # The digest is an integrity witness, not part of snapshot identity:
-    # the same content hashes to the same version either way.
-    assert with_graph.manifest.version == without.manifest.version
-    assert with_graph.manifest.columnar_digest == columnar_digest(graph)
-    assert without.manifest.columnar_digest == ""
-    assert with_graph.manifest.as_dict()["columnar_digest"] != ""
+    # the same content in another physical column order keeps its version.
+    assert snap.manifest.version == twin.manifest.version
+    assert snap.manifest.columnar_digest == columnar_digest(graph)
+    assert twin.manifest.columnar_digest == columnar_digest(reordered)
+    assert snap.manifest.columnar_digest != twin.manifest.columnar_digest
+    assert build_snapshot(entries).manifest.as_dict()["columnar_digest"] != ""
+
+
+# -- read-only columns and from_columns -----------------------------------
+
+
+def test_columns_are_read_only():
+    kg = _graph()
+    cols = kg.columns()
+    with pytest.raises(ValueError):
+        cols["support"][0] = 99
+    with pytest.raises(ValueError):
+        cols["head"][:] = 0
+    kg.add(_triple())                       # merge into an existing row
+    kg.add(_triple(tail="sailing"))         # append a row
+    assert [t.support for t in kg.triples()] == [2, 1, 1]
+
+
+def _assert_same_graph(got, want):
+    got_cols, want_cols = got.columns(), want.columns()
+    assert set(got_cols) == set(want_cols)
+    for name, value in want_cols.items():
+        if isinstance(value, np.ndarray):
+            assert got_cols[name].dtype == value.dtype
+            assert np.array_equal(got_cols[name], value)
+        else:
+            assert got_cols[name] == value
+    assert got.stats() == want.stats()
+    assert got.triples() == want.triples()
+    for domain in ("Electronics", "Pet Supplies", "missing"):
+        for behavior in ("co-buy", "search-buy"):
+            assert got.edges_for(domain, behavior) == want.edges_for(domain, behavior)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_from_columns_equals_the_graph_add_built(data):
+    batch = data.draw(st.lists(triples(), min_size=1, max_size=30))
+    # Re-insert some keys so the source graph has merged rows.
+    repeats = data.draw(st.lists(st.sampled_from(batch), max_size=10))
+    kg = KnowledgeGraph()
+    kg.extend(batch + repeats)
+    rebuilt = KnowledgeGraph.from_columns(kg.columns())
+    _assert_same_graph(rebuilt, kg)
+    # Both stay equal under further inserts: one merge, one new edge.
+    extra = data.draw(triples())
+    assume(extra.key not in {t.key for t in batch})
+    for graph in (kg, rebuilt):
+        graph.add(batch[0])
+        graph.add(extra)
+    _assert_same_graph(rebuilt, kg)
+    assert rebuilt.neighbors(batch[0].head) == kg.neighbors(batch[0].head)
+
+
+def test_from_columns_copies_its_input():
+    kg = _graph()
+    rebuilt = KnowledgeGraph.from_columns(kg.columns())
+    kg.add(_triple())
+    assert [t.support for t in rebuilt.triples()] == [1, 1]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda c: c.update(tail=c["tail"][:1]), "'tail' has 1 values for 2 edges"),
+    (lambda c: c.update(head_ids=()), "'head_ids' has 0 values"),
+    (lambda c: c.update(domain=np.array([0, 5], dtype=np.int32)),
+     "'domain' has ids outside the 'domains'"),
+    (lambda c: c.update(nodes=c["nodes"][:1] + c["nodes"]),
+     "'nodes' repeats an entry"),
+    (lambda c: c.update(relations=("not a relation",) + c["relations"][1:]),
+     "not a valid Relation"),
+    (lambda c: c.update(relation=np.zeros(2, dtype=np.int32),
+                        tail=np.array([1, 1], dtype=np.int32)),
+     "duplicate edge .*'camping'.* in rows 0 and 1"),
+])
+def test_from_columns_rejects_inconsistent_input(mutate, message):
+    cols = _graph().columns()
+    mutate(cols)
+    with pytest.raises(ValueError, match=message):
+        KnowledgeGraph.from_columns(cols)
+
+
+def test_columnar_load_rejects_duplicate_rows(tmp_path):
+    path = tmp_path / "kg.npz"
+    save_kg_columnar(_graph(), path)
+    with np.load(path, allow_pickle=False) as archive:
+        payload = {name: archive[name] for name in archive.files}
+    # Row 1 becomes a second copy of row 0's (head, relation, tail).
+    for name in ("head", "relation", "tail"):
+        payload[name] = np.repeat(payload[name][:1], 2)
+    bad = tmp_path / "duplicate.npz"
+    with bad.open("wb") as handle:
+        np.savez_compressed(handle, **payload)
+    with pytest.raises(ValueError, match="duplicate.npz: duplicate edge"):
+        load_kg_columnar(bad)

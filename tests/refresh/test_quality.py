@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.core.kg import KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, compute_kg_health
 from repro.refresh import (
     SnapshotQualityGate,
     SnapshotStore,
@@ -33,21 +34,38 @@ def _triples(count, offset=0, relations=_MIX, plausibility=0.8):
     ]
 
 
+def _graph(triples):
+    graph = KnowledgeGraph()
+    graph.extend(triples)
+    return graph
+
+
 def _entries(tag, count=12):
     return {f"query {i:02d}": f"it is used for query {i:02d} ({tag})."
             for i in range(count)}
 
 
 def test_snapshot_health_carries_lineage_and_entry_count():
-    blue = build_snapshot(_entries("blue"), triples=_triples(20), note="blue")
-    green = build_snapshot(_entries("green"), triples=_triples(24),
+    blue = build_snapshot(_entries("blue"), graph=_graph(_triples(20)), note="blue")
+    green = build_snapshot(_entries("green"), graph=_graph(_triples(24)),
                            parent=blue, note="green")
     health = snapshot_health(green)
     assert health.version == green.version
     assert health.parent == blue.version
     assert health.entries == len(green)
-    assert health.triples == len({t.key for t in green.triples})
+    assert health.triples == len({t.key for t in _triples(24)})
     assert sum(health.relation_edges.values()) == health.triples
+
+
+def test_snapshot_health_matches_a_replayed_graph():
+    # Health off the frozen columns equals the health of the graph the
+    # snapshot's triples replay into.
+    graph = _graph(_triples(30) + _triples(12))   # 12 duplicate keys merge
+    snap = build_snapshot(_entries("blue"), graph=graph)
+    replayed = KnowledgeGraph()
+    replayed.extend(graph.triples())
+    assert snapshot_health(snap) == compute_kg_health(
+        replayed.columns(), version=snap.version, entries=len(snap))
 
 
 def test_edge_keys_ignore_scores_and_support():
@@ -59,15 +77,15 @@ def test_edge_keys_ignore_scores_and_support():
                         typicality=t.typicality / 2, support=t.support + 5)
         for t in base
     ]
-    a = build_snapshot(_entries("a"), triples=base)
-    b = build_snapshot(_entries("b"), triples=rescored)
+    a = build_snapshot(_entries("a"), graph=_graph(base))
+    b = build_snapshot(_entries("b"), graph=_graph(rescored))
     assert edge_keys(a) == edge_keys(b)
     assert edge_keys(a) == {(t.head, t.relation.value, t.tail) for t in base}
 
 
 def test_root_snapshot_promotes_without_drift():
     store = SnapshotStore()
-    root = build_snapshot(_entries("root"), triples=_triples(20))
+    root = build_snapshot(_entries("root"), graph=_graph(_triples(20)))
     store.add(root)
     gate = SnapshotQualityGate(store)
     decision = gate.assess(root)
@@ -80,8 +98,8 @@ def test_unregistered_parent_promotes_trivially():
     # The store enforces oldest-first lineage on add(); a candidate can
     # still be assessed before registration, when its parent is unknown.
     store = SnapshotStore()
-    blue = build_snapshot(_entries("blue"), triples=_triples(20))
-    green = build_snapshot(_entries("green"), triples=_triples(20),
+    blue = build_snapshot(_entries("blue"), graph=_graph(_triples(20)))
+    green = build_snapshot(_entries("green"), graph=_graph(_triples(20)),
                            parent=blue)
     decision = SnapshotQualityGate(store).assess(green)
     assert decision.promote and decision.drift is None
@@ -89,9 +107,9 @@ def test_unregistered_parent_promotes_trivially():
 
 def test_healthy_child_promotes_with_drift_report():
     store = SnapshotStore()
-    blue = build_snapshot(_entries("blue"), triples=_triples(40))
+    blue = build_snapshot(_entries("blue"), graph=_graph(_triples(40)))
     green = build_snapshot(_entries("green"),
-                           triples=_triples(40) + _triples(6, offset=40),
+                           graph=_graph(_triples(40) + _triples(6, offset=40)),
                            parent=blue)
     store.add(blue)
     store.add(green)
@@ -107,10 +125,11 @@ def test_healthy_child_promotes_with_drift_report():
 
 def test_poisoned_child_blocks_with_readable_breaches():
     store = SnapshotStore()
-    blue = build_snapshot(_entries("blue"), triples=_triples(40))
+    blue = build_snapshot(_entries("blue"), graph=_graph(_triples(40)))
     poisoned = build_snapshot(
         _entries("green"),
-        triples=_triples(40, relations=(Relation.IS_A,), plausibility=0.05),
+        graph=_graph(_triples(40, relations=(Relation.IS_A,),
+                              plausibility=0.05)),
         parent=blue,
     )
     store.add(blue)
@@ -124,8 +143,8 @@ def test_poisoned_child_blocks_with_readable_breaches():
 
 def test_assessments_are_cached_by_version():
     store = SnapshotStore()
-    blue = build_snapshot(_entries("blue"), triples=_triples(20))
-    green = build_snapshot(_entries("green"), triples=_triples(22),
+    blue = build_snapshot(_entries("blue"), graph=_graph(_triples(20)))
+    green = build_snapshot(_entries("green"), graph=_graph(_triples(22)),
                            parent=blue)
     store.add(blue)
     store.add(green)
@@ -139,8 +158,8 @@ def test_assessments_are_cached_by_version():
 def test_registry_receives_health_gauges_once_per_snapshot():
     store = SnapshotStore()
     registry = MetricsRegistry()
-    blue = build_snapshot(_entries("blue"), triples=_triples(20))
-    green = build_snapshot(_entries("green"), triples=_triples(24),
+    blue = build_snapshot(_entries("blue"), graph=_graph(_triples(20)))
+    green = build_snapshot(_entries("green"), graph=_graph(_triples(24)),
                            parent=blue)
     store.add(blue)
     store.add(green)
@@ -153,10 +172,11 @@ def test_registry_receives_health_gauges_once_per_snapshot():
 
 def test_custom_rules_override_defaults():
     store = SnapshotStore()
-    blue = build_snapshot(_entries("blue"), triples=_triples(40))
+    blue = build_snapshot(_entries("blue"), graph=_graph(_triples(40)))
     poisoned = build_snapshot(
         _entries("green"),
-        triples=_triples(40, relations=(Relation.IS_A,), plausibility=0.05),
+        graph=_graph(_triples(40, relations=(Relation.IS_A,),
+                              plausibility=0.05)),
         parent=blue,
     )
     store.add(blue)

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.kg import KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
 from repro.obs import EventLog, MetricsRegistry, SloEvaluator, TimeSeriesCollector
@@ -42,16 +43,22 @@ def _triples(count, offset=0, relations=_MIX, plausibility=0.8):
     ]
 
 
+def _graph(triples):
+    graph = KnowledgeGraph()
+    graph.extend(triples)
+    return graph
+
+
 def _snapshots(poisoned=False):
     blue = build_snapshot({q: f"it is used for {q} (blue)." for q in QUERIES},
-                          triples=_triples(60), note="blue baseline")
+                          graph=_graph(_triples(60)), note="blue baseline")
     entries = {q: f"it is used for {q} (green)." for q in QUERIES}
     if poisoned:
         # Serves every query perfectly — only the knowledge drifted.
         triples = _triples(60, relations=(Relation.IS_A,), plausibility=0.05)
     else:
         triples = _triples(60) + _triples(8, offset=60)
-    green = build_snapshot(entries, triples=triples, parent=blue,
+    green = build_snapshot(entries, graph=_graph(triples), parent=blue,
                            note="green refresh")
     return blue, green
 

@@ -1,10 +1,13 @@
 """Content-addressed snapshots: versioning, immutability, lineage store."""
 
+import numpy as np
 import pytest
 
+from repro.core.kg import KnowledgeGraph
 from repro.core.relations import Relation
 from repro.core.triples import KnowledgeTriple
-from repro.refresh import KgSnapshot, SnapshotManifest, SnapshotStore, build_snapshot
+from repro.refresh import (KgSnapshot, SnapshotManifest, SnapshotStore,
+                           build_snapshot, snapshot_health)
 
 
 def _triple(tail="camping", support=1):
@@ -15,10 +18,16 @@ def _triple(tail="camping", support=1):
     )
 
 
+def _graph(*triples):
+    graph = KnowledgeGraph()
+    graph.extend(list(triples))
+    return graph
+
+
 # -- content addressing ----------------------------------------------------
 def test_same_content_same_version():
-    a = build_snapshot({"q": "it is used for camping."}, [_triple()])
-    b = build_snapshot({"q": "it is used for camping."}, [_triple()])
+    a = build_snapshot({"q": "it is used for camping."}, _graph(_triple()))
+    b = build_snapshot({"q": "it is used for camping."}, _graph(_triple()))
     assert a.version == b.version
     assert a.manifest.checksum == b.manifest.checksum
 
@@ -26,8 +35,8 @@ def test_same_content_same_version():
 def test_any_content_difference_changes_version():
     base = build_snapshot({"q": "answer."})
     entry_diff = build_snapshot({"q": "other answer."})
-    triple_diff = build_snapshot({"q": "answer."}, [_triple()])
-    support_diff = build_snapshot({"q": "answer."}, [_triple(support=2)])
+    triple_diff = build_snapshot({"q": "answer."}, _graph(_triple()))
+    support_diff = build_snapshot({"q": "answer."}, _graph(_triple(support=2)))
     versions = {base.version, entry_diff.version, triple_diff.version,
                 support_diff.version}
     assert len(versions) == 4
@@ -48,12 +57,55 @@ def test_note_is_not_hashed():
 
 
 def test_version_format_and_manifest_counts():
-    snap = build_snapshot({"a": "x.", "b": "y."}, [_triple()])
+    snap = build_snapshot({"a": "x.", "b": "y."}, _graph(_triple()))
     assert snap.version.startswith("v-")
     assert len(snap.version) == 14  # "v-" + 12 hex chars
     assert snap.manifest.entry_count == 2
     assert snap.manifest.triple_count == 1
     assert len(snap) == 2
+
+
+def test_versions_are_pinned():
+    # Literals computed when snapshots still stored a triple tuple: the
+    # columnar checksum must hash exactly the same canonical content.
+    root = build_snapshot({"q": "it is used for camping."},
+                          _graph(_triple(), _triple(tail="hiking", support=2)))
+    child = build_snapshot({"q": "it is used for hiking."},
+                           _graph(_triple(support=3),
+                                  _triple(tail="hiking", support=2)),
+                           parent=root)
+    assert root.version == "v-e1e0f3427986"
+    assert child.version == "v-811f7780e9eb"
+    assert build_snapshot({}).version == "v-19bc6e732039"
+
+
+def test_source_graph_growth_leaves_snapshot_unchanged():
+    graph = _graph(_triple(), _triple(tail="hiking"))
+    snap = build_snapshot({"q": "answer."}, graph)
+    version, health = snap.version, snapshot_health(snap)
+    frozen = {name: np.array(value) if isinstance(value, np.ndarray) else value
+              for name, value in snap.columns().items()}
+    # Merging a duplicate rewrites the source's existing rows in place;
+    # a new edge appends past them.
+    graph.add(_triple(support=4))
+    graph.add(_triple(tail="sailing"))
+    assert build_snapshot({"q": "answer."}, graph).version != version
+    cols = snap.columns()
+    assert set(cols) == set(frozen)
+    for name, value in frozen.items():
+        assert np.array_equal(cols[name], value) if isinstance(
+            value, np.ndarray) else cols[name] == value
+    assert snapshot_health(snap) == health
+    assert build_snapshot({"q": "answer."}, KnowledgeGraph.from_columns(
+        cols)).version == version
+
+
+def test_snapshot_columns_are_read_only():
+    snap = build_snapshot({"q": "answer."}, _graph(_triple()))
+    with pytest.raises(ValueError):
+        snap.columns()["support"][0] = 9
+    with pytest.raises(TypeError):
+        snap.columns()["support"] = np.zeros(1)  # type: ignore[index]
 
 
 # -- immutability ----------------------------------------------------------

@@ -53,6 +53,17 @@ def _kinds(events_text):
     return {e["kind"] for e in validate_events(events_text)}
 
 
+def _blue_green(events_text):
+    """``(blue, green)`` snapshot versions: the version installed first
+    and the version the quality gate assessed."""
+    events = validate_events(events_text)
+    blue = next(e["attrs"]["version"] for e in events
+                if e["kind"] == "service.snapshot_swap")
+    green = next(e["attrs"]["version"] for e in events
+                 if e["kind"] in ("rollout.gate_pass", "rollout.gate_block"))
+    return blue, green
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -246,6 +257,10 @@ def test_lint_subcommand_delegates_to_cosmolint(tmp_path, capsys):
 def test_rollout_healthy_completes_and_is_deterministic():
     outcome = replay(ROLLOUT_CI + ["healthy"])
     assert outcome.code == 0
+    # Content addresses, pinned: hashing the same knowledge differently
+    # must not re-version the snapshots CI deploys.
+    assert _blue_green(outcome.artifacts["events"]) == (
+        "v-8423c6c457ab", "v-0b0462848d90")
 
     validate_timeline(json.loads(outcome.artifacts["timeline"]))
     report = json.loads(outcome.artifacts["alerts"])
@@ -271,6 +286,8 @@ def test_rollout_poisoned_rolls_back_and_redrives():
     # clean even though the rollout aborted: the guard doing its job is
     # not an operator error.
     assert outcome.code == 0
+    assert _blue_green(outcome.artifacts["events"]) == (
+        "v-8423c6c457ab", "v-7fb0e3d47280")
 
     events = validate_events(outcome.artifacts["events"])
     kinds = [e["kind"] for e in events]
@@ -340,6 +357,12 @@ def test_kghealth_poisoned_blocks_before_first_swap():
     _check_kghealth(replay(_KGHEALTH_ARGS + ["--scenario", "poisoned"]), "poisoned")
 
 
+_KGHEALTH_CI_GREEN = {"healthy": "v-bbb6a28b1813", "poisoned": "v-c33f28a653d6"}
+
+
 @pytest.mark.parametrize("scenario", ["healthy", "poisoned"])
 def test_kghealth_ci_scenarios_gate_as_expected(scenario):
-    _check_kghealth(replay(KGHEALTH_CI + [scenario]), scenario)
+    outcome = replay(KGHEALTH_CI + [scenario])
+    _check_kghealth(outcome, scenario)
+    assert _blue_green(outcome.artifacts["events"]) == (
+        "v-68b6e03dab0a", _KGHEALTH_CI_GREEN[scenario])
